@@ -35,11 +35,9 @@ from perfbench.tracing import Tracer, instrumented, self_times, span_counts
 
 #: builds per run, whatever ``--seconds`` allows (a slow host fits fewer)
 MIN_ITERATIONS = 3
-#: the weights ``ArticulationService.churn`` uses (deletions come per batch)
-_CHURN_WEIGHTS = {"add_weight": 0.35, "edge_weight": 0.4}
 
 
-def articulate(ontologies, lexicon, sizes: inp.Sizes):
+def articulate(ontologies, lexicon):
     """SKAT proposes, the fixed expert accepts, the generator builds.
 
     Returns ``(articulation, proposals, accepted, candidate_pairs)``.
@@ -47,7 +45,7 @@ def articulate(ontologies, lexicon, sizes: inp.Sizes):
     skat = SkatEngine.default(lexicon)
     proposals = skat.propose(ontologies[0], ontologies[1])
     rules = ArticulationRuleSet()
-    for review in ThresholdPolicy(sizes.accept_threshold).review(proposals):
+    for review in ThresholdPolicy(inp.ACCEPT_THRESHOLD).review(proposals):
         rule = review.accepted_rule()
         if rule is not None:
             rules.add(rule)
@@ -81,7 +79,7 @@ def build(source_inputs: inp.BuildInputs, sizes: inp.Sizes, storage: str) -> Bui
     ontologies = source_inputs.ontologies()
     lexicon = source_inputs.wordnet()
     t0 = perf_counter()
-    articulation, proposals, accepted, pairs = articulate(ontologies, lexicon, sizes)
+    articulation, proposals, accepted, pairs = articulate(ontologies, lexicon)
     engine = OntologyInferenceEngine(
         storage=storage,
         buffer_facts=sizes.buffer_facts if storage == "paged" else None,
@@ -137,14 +135,11 @@ def probe(engine: OntologyInferenceEngine, probes, tracer: Tracer | None):
 def write(built: Built, maintainer: ArticulationMaintainer, batch: dict) -> dict:
     """One churn batch: the steps of ``ArticulationService.churn``
     without its lock, publication and journal."""
-    report = apply_churn(
-        built.articulation.sources[batch["source"]],
-        n_mutations=batch["mutations"],
-        seed=batch["seed"],
-        delete_weight=batch["delete_weight"],
-        **_CHURN_WEIGHTS,
-    )
-    maintainer.apply_source_changes(batch["source"], report.touched_terms())
+    args = dict(batch)
+    source = args.pop("source")
+    report = apply_churn(built.articulation.sources[source],
+                         n_mutations=args.pop("mutations"), **args)
+    maintainer.apply_source_changes(source, report.touched_terms())
     built.engine.refresh_from_articulation(built.articulation)
     built.engine.engine.saturate()
     return dict(built.engine.engine.last_stats)
@@ -156,7 +151,7 @@ def write_batch(built: Built, sizes: inp.Sizes, tracer: Tracer | None):
     latencies: list[float] = []
     stats: list[dict] = []
     for k in range(sizes.build_writes):
-        batch = inp.churn_batch(sizes, k)
+        batch = inp.churn_batch(k)
         t0 = perf_counter()
         if tracer is None:
             stats.append(write(built, maintainer, batch))
@@ -227,12 +222,23 @@ def _legacy_engine_class():
     return module.LegacyHornEngine
 
 
+def rebuilt(articulation) -> OntologyInferenceEngine:
+    """A fresh in-memory engine, extracted and saturated from scratch."""
+    engine = OntologyInferenceEngine()
+    engine.refresh_from_articulation(articulation)
+    engine.engine.saturate()
+    return engine
+
+
 def oracle_mismatches(sizes: inp.Sizes, seed: int, storage: str, fault=None) -> list[str]:
     """Build and churn a down-sized instance of the same pipeline.
 
     After the build and again after the writes, the engine's closure
-    must equal the oracle's closure of the engine's clauses and base
-    facts.
+    must equal the closure of an engine rebuilt from scratch from the
+    current articulation, and the oracle's closure of that rebuilt
+    engine's clauses and base facts.  The rebuild keeps the check
+    independent of the incremental path (``apply_batch`` diffs,
+    articulation maintenance) that produced the engine under test.
     """
     legacy = _legacy_engine_class()
     small = inp.make_build_inputs(sizes, seed, terms=sizes.oracle_terms)
@@ -243,15 +249,17 @@ def oracle_mismatches(sizes: inp.Sizes, seed: int, storage: str, fault=None) -> 
         for stage in ("build", "writes"):
             if stage == "writes":
                 for k in range(sizes.build_writes):
-                    write(built, maintainer, inp.churn_batch(sizes, k))
-            horn = built.engine.engine
-            oracle = legacy()
-            for clause in horn.clauses():
-                oracle.add_clause(clause)
-            oracle.add_facts(horn.base_facts())
+                    write(built, maintainer, inp.churn_batch(k))
             got = closure_facts(built.engine)
             if fault is not None:
                 got = fault(got)
+            fresh = rebuilt(built.articulation)
+            if digest(got) != digest(closure_facts(fresh)):
+                problems.append(f"closure differs from a rebuild after {stage}")
+            oracle = legacy()
+            for clause in fresh.engine.clauses():
+                oracle.add_clause(clause)
+            oracle.add_facts(fresh.engine.base_facts())
             if digest(got) != digest(sorted(oracle.facts())):
                 problems.append(f"closure differs from the oracle's after {stage}")
     finally:

@@ -1,7 +1,7 @@
 """Seeded inputs for every workload.
 
 The ontology family is fixed: two sources of 800 terms drawn from a
-2000-concept universe (generator seed ``SIZES.family_seed``).
+2000-concept universe (generator seed ``FAMILY_SEED``).
 ``--seed`` tags every concept label with a seed-derived prefix, which
 gives an isomorphic copy whose labels sort in the same order, and it
 draws the probe batch, the served request stream and the instance
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.formats import adjacency
 from repro.kb.instances import InstanceStore
@@ -27,38 +27,43 @@ from repro.workloads.generator import WorkloadConfig, generate_workload
 from repro.workloads.loadgen import zipf_weights
 
 
+#: generator parameters of the family (``generate_workload``)
+OVERLAP = 0.5
+IDENTICAL_FRACTION = 0.3
+FAMILY_SEED = 1
+#: the fixed expert accepts every proposal scoring at least this
+ACCEPT_THRESHOLD = 0.7
+#: source edits per churn batch, and the mutation mix; term deletions
+#: are off so the classes the read pool targets never vanish, while
+#: edge deletions still run the DRed retraction path
+CHURN_MUTATIONS = 3
+CHURN_WEIGHTS = {"add_weight": 0.35, "delete_weight": 0.0, "edge_weight": 0.4}
+ZIPF_S = 1.1
+INSTANCES_PER_TERM = 2
+
+
 @dataclass(frozen=True)
 class Sizes:
-    """Every size knob of the benchmark; tests shrink them."""
+    """The sizes the benchmark's own tests shrink."""
 
     terms_per_source: int = 800
     universe_size: int = 2000
-    overlap: float = 0.5
-    identical_fraction: float = 0.3
-    family_seed: int = 1
-    accept_threshold: float = 0.7
     buffer_facts: int = 4096  # paged store buffer, well below the closure
     probes: int = 20000  # fixed probe batch after each build
     build_writes: int = 60  # in-process churn batches after each build
-    churn_mutations: int = 3
-    zipf_s: float = 1.1
-    write_interval_s: float = 0.25  # serve: the writer's fixed schedule
     build_setups: int = 7  # set-ups per run; setup_s is their median
     serve_setups: int = 3  # a serve set-up starts a server (seconds)
     oracle_terms: int = 32  # down-sized pipeline checked by the oracle
     answer_sample: int = 200  # serve: answers compared after replay
-    instances_per_term: int = 2
 
 
 SIZES = Sizes()
-TINY = replace(
-    SIZES,
+TINY = Sizes(
     terms_per_source=40,
     universe_size=100,
     buffer_facts=64,
     probes=50,
     build_writes=2,
-    write_interval_s=0.2,
     build_setups=2,
     serve_setups=2,
     oracle_terms=20,
@@ -73,9 +78,9 @@ def family_config(sizes: Sizes, terms: int | None = None) -> WorkloadConfig:
         universe_size=max(n, sizes.universe_size * n // sizes.terms_per_source),
         n_sources=2,
         terms_per_source=n,
-        overlap=sizes.overlap,
-        identical_fraction=sizes.identical_fraction,
-        seed=sizes.family_seed,
+        overlap=OVERLAP,
+        identical_fraction=IDENTICAL_FRACTION,
+        seed=FAMILY_SEED,
     )
 
 
@@ -122,21 +127,21 @@ def make_build_inputs(sizes: Sizes, seed: int, terms: int | None = None) -> Buil
     )
 
 
-def zipf_stream(sizes: Sizes, pool: list, n: int, rng: random.Random) -> list:
-    """``n`` draws from ``pool`` under Zipf(``sizes.zipf_s``).
+def zipf_stream(pool: list, n: int, rng: random.Random) -> list:
+    """``n`` draws from ``pool`` under Zipf(``ZIPF_S``).
 
     The popularity ranking is fixed by the family, so the hot set is
     structurally the same for every seed; ``rng`` draws the sequence.
     """
     ranked = list(pool)
-    random.Random(sizes.family_seed).shuffle(ranked)
-    return rng.choices(ranked, zipf_weights(len(ranked), sizes.zipf_s), k=n)
+    random.Random(FAMILY_SEED).shuffle(ranked)
+    return rng.choices(ranked, zipf_weights(len(ranked), ZIPF_S), k=n)
 
 
 def probe_batch(sizes: Sizes, seed: int, inputs: BuildInputs) -> list[tuple[str, str]]:
     """The fixed (op, term) probe batch the builds read after building."""
     pool = [(op, t) for t in inputs.terms for op in ("generalizations", "specializations")]
-    return zipf_stream(sizes, pool, sizes.probes, random.Random(seed * 31 + 1))
+    return zipf_stream(pool, sizes.probes, random.Random(seed * 31 + 1))
 
 
 def read_pool(terms: list[str]) -> list[dict]:
@@ -153,22 +158,19 @@ def read_pool(terms: list[str]) -> list[dict]:
     return pool
 
 
-def churn_batch(sizes: Sizes, k: int) -> dict:
-    """The ``k``-th churn batch of the family's fixed schedule.
-
-    Term deletions are off so the classes the read pool targets never
-    vanish; edge deletions still run the DRed retraction path.
-    """
+def churn_batch(k: int) -> dict:
+    """The ``k``-th churn batch of the family's fixed schedule, as the
+    ``/churn`` request body (``ArticulationService.churn``'s arguments)."""
     return {
         "source": f"src{k % 2}",
-        "mutations": sizes.churn_mutations,
-        "seed": sizes.family_seed * 104729 + k,
-        "delete_weight": 0.0,
+        "mutations": CHURN_MUTATIONS,
+        "seed": FAMILY_SEED * 104729 + k,
+        **CHURN_WEIGHTS,
     }
 
 
-def instance_stores(sizes: Sizes, seed: int, articulation) -> dict[str, InstanceStore]:
-    """``instances_per_term`` instances per source term, one numeric
+def instance_stores(seed: int, articulation) -> dict[str, InstanceStore]:
+    """``INSTANCES_PER_TERM`` instances per source term, one numeric
     attribute ``v`` drawn from ``seed``."""
     rng = random.Random(seed * 7 + 3)
     stores: dict[str, InstanceStore] = {}
@@ -176,7 +178,7 @@ def instance_stores(sizes: Sizes, seed: int, articulation) -> dict[str, Instance
         ontology = articulation.sources[name]
         store = InstanceStore(ontology)
         for term in sorted(ontology.terms()):
-            for k in range(sizes.instances_per_term):
+            for k in range(INSTANCES_PER_TERM):
                 store.add(f"{term}#{k}", term, v=rng.randrange(1000))
         stores[name] = store
     return stores

@@ -17,7 +17,6 @@ import json
 import sys
 import tempfile
 from contextlib import ExitStack
-from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -34,11 +33,10 @@ def start_service(sizes, seed: int, journal: Path):
     ontologies = source_inputs.ontologies()
     lexicon = source_inputs.wordnet()
     t0 = perf_counter()
-    articulation, proposals, accepted, pairs = builds.articulate(
-        ontologies, lexicon, sizes)
+    articulation, proposals, accepted, pairs = builds.articulate(ontologies, lexicon)
     articulate_s = perf_counter() - t0
     # instance rows are inputs, made outside the build timing
-    stores = inp.instance_stores(sizes, seed, articulation)
+    stores = inp.instance_stores(seed, articulation)
     service = ArticulationService(journal_path=str(journal) if journal else None)
     # the install's full saturation: keep its HornEngine.last_stats
     stats: dict = {}
@@ -81,7 +79,7 @@ def main(argv: list[str]) -> int:
 
     workdir = Path(args.workdir)
     tempfile.tempdir = str(workdir)
-    sizes = replace(inp.SIZES, **json.loads(args.sizes))
+    sizes = inp.Sizes(**json.loads(args.sizes))
     service, info = start_service(sizes, args.seed, workdir / "serve.journal")
     server = ArticulationServer(service, port=0).start()
     info["port"] = server.port

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from perfbench import inputs
+from perfbench import builds, inputs
 from perfbench.measure import END_TO_END, PER_LAYER
 from perfbench.run import WORKLOADS, run_workload
 
@@ -82,6 +82,23 @@ def test_dropped_closure_fact_is_a_failure(workload, tmp_path):
     result = outcome.result(END_TO_END)
     assert not result["correct"]
     assert result["failed"] >= 2  # the other store and the oracle both disagree
+
+
+def test_stale_base_fact_after_writes_is_a_failure(monkeypatch):
+    """A fact the incremental path leaves behind shows against a rebuild,
+    though the oracle fed the engine's own base facts would agree."""
+    write = builds.write
+
+    def leaky_write(built, maintainer, batch):
+        stats = write(built, maintainer, batch)
+        built.engine.engine.add_fact(("perfbench_stale", batch["source"]))
+        built.engine.engine.saturate()
+        return stats
+
+    monkeypatch.setattr(builds, "write", leaky_write)
+    problems = builds.oracle_mismatches(inputs.TINY, 3, "memory")
+    assert problems == ["closure differs from a rebuild after writes",
+                        "closure differs from the oracle's after writes"]
 
 
 def _corrupt_one_answer(answers):
