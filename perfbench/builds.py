@@ -17,6 +17,7 @@ import gc
 import hashlib
 import importlib.util
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -30,11 +31,15 @@ from repro.lexicon.skat import SkatEngine
 from repro.workloads.churn import apply_churn
 
 from perfbench import inputs as inp
-from perfbench.measure import Outcome, peak_rss_mb, percentile
+from perfbench.measure import (LIGHT_REFERENCE_S, Outcome, Pacer, host_scale,
+                               light_reference, peak_rss_mb, percentile, reference_s,
+                               scaled_value, unpaced)
 from perfbench.tracing import Tracer, instrumented, self_times, span_counts
 
 #: builds per run, whatever ``--seconds`` allows (a slow host fits fewer)
 MIN_ITERATIONS = 3
+#: the churn writes after a build form phases of this many writes
+WRITES_PER_PHASE = 15
 
 
 def articulate(ontologies, lexicon):
@@ -58,12 +63,16 @@ def articulate(ontologies, lexicon):
 class BuildStats:
     """What an iteration keeps of its build once the engine is closed."""
 
-    build_s: float
+    parts: list[tuple[float, float]]  # (seconds, host scale): articulation, inference
     proposals: int
     accepted: int
     candidate_pairs: int
     saturate_stats: dict
     buffer_stats: dict
+
+    @property
+    def build_s(self) -> float:
+        return sum(seconds for seconds, _ in self.parts)
 
 
 @dataclass
@@ -73,23 +82,28 @@ class Built:
     stats: BuildStats
 
 
-def build(source_inputs: inp.BuildInputs, sizes: inp.Sizes, storage: str) -> Built:
+def build(source_inputs: inp.BuildInputs, sizes: inp.Sizes, storage: str,
+          pacer: Pacer | None = None) -> Built:
     """One cold build.  Parsing the serialized inputs happens before
-    the clock starts; the pipeline from SKAT to the fixpoint is timed."""
+    the clock starts; the pipeline from SKAT to the fixpoint is timed in
+    two phases, articulation and inference, each ended by ``pacer``."""
+    mark = pacer.mark if pacer is not None else unpaced
     ontologies = source_inputs.ontologies()
     lexicon = source_inputs.wordnet()
     t0 = perf_counter()
     articulation, proposals, accepted, pairs = articulate(ontologies, lexicon)
+    parts = [(perf_counter() - t0, mark())]
+    t0 = perf_counter()
     engine = OntologyInferenceEngine(
         storage=storage,
         buffer_facts=sizes.buffer_facts if storage == "paged" else None,
     )
     engine.refresh_from_articulation(articulation)
     engine.engine.saturate()
-    build_s = perf_counter() - t0
+    parts.append((perf_counter() - t0, mark()))
     store = engine.engine.store
     return Built(articulation, engine, BuildStats(
-        build_s=build_s,
+        parts=parts,
         proposals=proposals,
         accepted=accepted,
         candidate_pairs=pairs,
@@ -145,10 +159,13 @@ def write(built: Built, maintainer: ArticulationMaintainer, batch: dict) -> dict
     return dict(built.engine.engine.last_stats)
 
 
-def write_batch(built: Built, sizes: inp.Sizes, tracer: Tracer | None):
-    """The fixed churn writes after a build; returns (latencies, stats)."""
+def write_batch(built: Built, sizes: inp.Sizes, tracer: Tracer | None, mark=unpaced):
+    """The fixed churn writes after a build, in phases of
+    ``WRITES_PER_PHASE`` each ended by ``mark``; returns
+    ((seconds, host scale) per write, stats)."""
     maintainer = ArticulationMaintainer(built.articulation)
-    latencies: list[float] = []
+    latencies: list[tuple[float, float]] = []
+    phase: list[float] = []
     stats: list[dict] = []
     for k in range(sizes.build_writes):
         batch = inp.churn_batch(k)
@@ -158,7 +175,11 @@ def write_batch(built: Built, sizes: inp.Sizes, tracer: Tracer | None):
         else:
             with tracer.span("write"):
                 stats.append(write(built, maintainer, batch))
-        latencies.append(perf_counter() - t0)
+        phase.append(perf_counter() - t0)
+        if len(phase) == WRITES_PER_PHASE or k == sizes.build_writes - 1:
+            scale = mark()
+            latencies += [(seconds, scale) for seconds in phase]
+            phase = []
     return latencies, stats
 
 
@@ -167,9 +188,9 @@ class Iteration:
     stats: BuildStats
     closure_size: int
     build_digest: str
-    probe_s: list[float]
+    probes: list[tuple[float, float]]  # (seconds, host scale)
     probe_digest: str
-    write_s: list[float]
+    writes: list[tuple[float, float]]
     write_stats: list[dict]
     final_digest: str
     rss_mb: float  # the process's peak RSS when the iteration ended
@@ -179,34 +200,44 @@ class Iteration:
 
 
 def iterate(source_inputs, sizes, storage, probes, tracer=None,
-            fault=None) -> Iteration:
-    """build -> probes -> writes; digests are taken outside every timing.
+            fault=None, pacer: Pacer | None = None) -> Iteration:
+    """build -> probes -> writes; digests are taken outside every timing,
+    the closure's after the probes, which leave it unchanged.
 
+    ``pacer`` times the reference as the build starts and after every
+    phase, which gives each phase the host's speed at the time it ran.
+    The probes, short reads of a hot working set, are scaled by the
+    light reference instead.
     ``fault`` (tests only) edits the closure before its digest.
     """
+    mark = pacer.mark if pacer is not None else unpaced
     gc.collect()
+    mark()
     if tracer is None:
-        built = build(source_inputs, sizes, storage)
+        built = build(source_inputs, sizes, storage, pacer)
     else:
         with instrumented(tracer), tracer.span("build"):
-            built = build(source_inputs, sizes, storage)
+            built = build(source_inputs, sizes, storage, pacer)
     try:
+        light = [reference_s(light_reference)] if pacer is not None else []
+        with instrumented(tracer) if tracer is not None else nullcontext():
+            probe_s, probe_digest = probe(built.engine, probes, tracer)
+        if pacer is not None:
+            light.append(reference_s(light_reference))
+        scale = host_scale(*light, nominal=LIGHT_REFERENCE_S) if light else unpaced()
         facts = closure_facts(built.engine)
         if fault is not None:
             facts = fault(facts)
         build_digest = digest(facts)
-        if tracer is None:
-            probe_s, probe_digest = probe(built.engine, probes, None)
-            write_s, write_stats = write_batch(built, sizes, None)
-        else:
-            with instrumented(tracer):
-                probe_s, probe_digest = probe(built.engine, probes, tracer)
-                write_s, write_stats = write_batch(built, sizes, tracer)
+        mark()  # the host's speed as the writes start
+        with instrumented(tracer) if tracer is not None else nullcontext():
+            writes, write_stats = write_batch(built, sizes, tracer, mark)
         final_digest = digest(closure_facts(built.engine))
     finally:
         close(built)
-    return Iteration(built.stats, len(facts), build_digest, probe_s, probe_digest,
-                     write_s, write_stats, final_digest, peak_rss_mb())
+    return Iteration(built.stats, len(facts), build_digest,
+                     [(seconds, scale) for seconds in probe_s], probe_digest,
+                     writes, write_stats, final_digest, peak_rss_mb())
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +328,13 @@ def storage_mismatches(storage, sizes, seed, source_inputs, probes, first,
 def run(workload: str, seed: int, seconds: float, trace: bool,
         sizes: inp.Sizes = inp.SIZES, fault=None) -> Outcome:
     storage = "paged" if workload == "build_paged" else "memory"
-    setups: list[float] = []
+    pacer = Pacer()
+    setups: list[tuple[float, float]] = []  # (seconds, host scale)
     for _ in range(sizes.build_setups):
         t0 = perf_counter()
         source_inputs = inp.make_build_inputs(sizes, seed)
         probes = inp.probe_batch(sizes, seed, source_inputs)
-        setups.append(perf_counter() - t0)
+        setups.append((perf_counter() - t0, pacer.mark()))
 
     tracer = Tracer()
     iterations: list[tuple[bool, Iteration]] = []
@@ -316,14 +348,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         traced = trace and len(iterations) % 2 == 1
         t0 = perf_counter()
         it = iterate(source_inputs, sizes, storage, probes,
-                     tracer if traced else None, fault)
+                     tracer if traced else None, fault, pacer)
         last = perf_counter() - t0
         iterations.append((traced, it))
 
-    out = Outcome()
+    out = Outcome(references=pacer.references)
     first = iterations[0][1]
     for _, it in iterations:
-        out.attempted += 1 + len(it.probe_s) + len(it.write_s)
+        out.attempted += 1 + len(it.probes) + len(it.writes)
         out.check(it.digests() == first.digests(),
                   "closure, probe answers or writes differ between builds of one seed")
     for problem in storage_mismatches(storage, sizes, seed, source_inputs,
@@ -336,6 +368,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     plain = [it for traced, it in iterations if not traced]
     if not trace:
         out.metrics = _end_to_end(plain, setups, plain[-1].rss_mb)
+        out.raw = {name: value for name, (value, _) in
+                   _end_to_end(plain, setups, plain[-1].rss_mb, scaled=False).items()}
         return out
     traced_its = [it for traced, it in iterations if traced]
     out.metrics = _per_layer(traced_its, tracer)
@@ -349,12 +383,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     return out
 
 
-def _end_to_end(its: list[Iteration], setups: list[float], rss: float) -> dict:
-    reads = [s for it in its for s in it.probe_s]
-    writes = [s for it in its for s in it.write_s]
+def _end_to_end(its: list[Iteration], setups: list[tuple[float, float]], rss: float,
+                scaled: bool = True) -> dict:
+    """Every time is scaled to the reference host, unless ``scaled`` is
+    false; see ``measure.host_scale``."""
+    def value(sample: tuple[float, float]) -> float:
+        return scaled_value(sample, scaled)
+
+    builds = [sum(value(part) for part in it.stats.parts) for it in its]
+    reads = [value(sample) for it in its for sample in it.probes]
+    writes = [value(sample) for it in its for sample in it.writes]
     return {
-        "setup_s": (statistics.median(setups), "s"),
-        "build_s": (statistics.median(it.stats.build_s for it in its), "s"),
+        "setup_s": (statistics.median(value(setup) for setup in setups), "s"),
+        "build_s": (statistics.median(builds), "s"),
         "read_p50_ms": (percentile(reads, 50) * 1e3, "ms"),
         "read_p99_ms": (percentile(reads, 99) * 1e3, "ms"),
         "read_rps": (len(reads) / sum(reads), "1/s"),
@@ -369,8 +410,8 @@ def _per_layer(its: list[Iteration], tracer: Tracer) -> dict:
     counts = span_counts(tracer.spans)
     n = {
         "build": len(its),
-        "read": sum(len(it.probe_s) for it in its),
-        "write": sum(len(it.write_s) for it in its),
+        "read": sum(len(it.probes) for it in its),
+        "write": sum(len(it.writes) for it in its),
     }
 
     def ms(phase: str, name: str) -> tuple[float, str]:

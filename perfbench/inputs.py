@@ -50,9 +50,9 @@ class Sizes:
     universe_size: int = 2000
     buffer_facts: int = 4096  # paged store buffer, well below the closure
     probes: int = 20000  # fixed probe batch after each build
-    build_writes: int = 60  # in-process churn batches after each build
+    build_writes: int = 30  # in-process churn batches after each build
     build_setups: int = 7  # set-ups per run; setup_s is their median
-    serve_setups: int = 3  # a serve set-up starts a server (seconds)
+    serve_setups: int = 5  # a serve set-up starts a server (seconds)
     oracle_terms: int = 32  # down-sized pipeline checked by the oracle
     answer_sample: int = 200  # serve: answers compared after replay
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import platform
+import random
 import resource
 import statistics
 import sys
@@ -60,6 +61,7 @@ PER_LAYER = {
     "serving.service_write_ms": "ms",
     "serving.reads_overlapping_write": "ratio",
     "serving.write_lag_ms": "ms",
+    "serving.write_interval_ms": "ms",
     "reliability.journal_ms": "ms",
     "reliability.journal_bytes_per_write": "bytes",
     "trace.coverage": "ratio",
@@ -78,6 +80,8 @@ class Outcome:
     failed: int = 0
     problems: list[str] = field(default_factory=list)
     metrics: dict[str, tuple[float, str]] = field(default_factory=dict)
+    references: list[float] = field(default_factory=list)  # reference_s() times
+    raw: dict[str, float] = field(default_factory=dict)  # unscaled end-to-end values
 
     def check(self, ok: bool, problem: str) -> None:
         """A correctness check: a mismatch counts as a failed operation."""
@@ -110,24 +114,91 @@ def peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0  # Linux: KiB
 
 
-def calibration_ms(repeats: int = 3) -> float:
-    """A fixed pure-Python loop (arithmetic, dict and tuple work, the
-    interpreter paths the engine leans on); median of ``repeats``."""
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        table: dict[tuple[int, int], int] = {}
-        acc = 0
-        for i in range(200_000):
-            key = (i & 1023, i % 7)
-            acc = (acc + table.get(key, i) * 31) & 0xFFFFFFFF
-            table[key] = acc
-        times.append((perf_counter() - t0) * 1e3)
-    return statistics.median(times)
+#: the reference's time on the host all times are scaled to
+REFERENCE_S = 0.05
+#: the same for the light reference; the two agree on a typical host
+#: state (0.04 s against 0.05 s)
+LIGHT_REFERENCE_S = 0.04
 
 
-def machine() -> dict:
-    """The machine a result was measured on (context, not gated)."""
+def reference() -> int:
+    """A fixed pure-Python workload shaped like the engine's own work:
+    semi-naive transitive closure of a seeded graph, with string
+    tuples in sets and a dict index (79,509 facts).  It shares
+    no code with the program, so only the host moves its time."""
+    rng = random.Random(12345)
+    names = [f"node{i:04d}" for i in range(500)]
+    edges = {
+        (names[i], names[rng.randrange(i + 1, min(len(names), i + 41))])
+        for i in range(len(names) - 1)
+        for _ in range(2)
+    }
+    successors: dict[str, list[str]] = {}
+    for a, b in edges:
+        successors.setdefault(a, []).append(b)
+    closure = set(edges)
+    delta = edges
+    while delta:
+        delta = {(a, c) for a, b in delta for c in successors.get(b, ())} - closure
+        closure |= delta
+    return len(closure)
+
+
+def light_reference() -> int:
+    """A tight loop over a small dict: the shape of the short probes,
+    which run on a small hot working set that ``reference`` does not
+    track."""
+    table: dict[tuple[int, int], int] = {}
+    acc = 0
+    for i in range(150_000):
+        key = (i & 1023, i % 7)
+        acc = (acc + table.get(key, i) * 31) & 0xFFFFFFFF
+        table[key] = acc
+    return acc
+
+
+def reference_s(workload=reference) -> float:
+    """One timed run of ``reference`` (or ``workload``)."""
+    t0 = perf_counter()
+    workload()
+    return perf_counter() - t0
+
+
+def host_scale(*reference_times: float, nominal: float = REFERENCE_S) -> float:
+    """The factor that turns a time measured among these reference
+    runs into a time on the reference host (``nominal``).  A host
+    running at half speed doubles both, so the product stays put."""
+    return nominal / statistics.median(reference_times)
+
+
+class Pacer:
+    """Times the reference between phases of work.  The host's speed
+    drifts within seconds, so each phase is scaled by the reference
+    runs on either side of it (``host_scale``)."""
+
+    def __init__(self) -> None:
+        self.references = [reference_s()]
+
+    def mark(self) -> float:
+        """End a phase; returns its host scale."""
+        self.references.append(reference_s())
+        return host_scale(*self.references[-2:])
+
+
+def unpaced() -> float:
+    """A phase end without a reference run: host scale 1."""
+    return 1.0
+
+
+def scaled_value(sample: tuple[float, float], scaled: bool = True) -> float:
+    """A ``(seconds, host scale)`` sample, scaled or as measured."""
+    seconds, scale = sample
+    return seconds * scale if scaled else seconds
+
+
+def machine(reference_times: list[float]) -> dict:
+    """The machine a result was measured on, and its speed in this run:
+    the median of the run's reference times."""
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -141,5 +212,5 @@ def machine() -> dict:
         "nproc": os.cpu_count(),
         "cpu_model": model,
         "python": sys.version.split()[0],
-        "calibration_ms": calibration_ms(),
+        "calibration_ms": statistics.median(reference_times) * 1e3,
     }

@@ -7,9 +7,11 @@ Usage, from the root of a checkout::
 Workloads: ``build`` (cold pipeline, closure in memory), ``build_paged``
 (the same with the paged SQLite store) and ``serve`` (HTTP reads beside
 churn writes).  ``--trace 0`` reports the end-to-end metrics,
-``--trace 1`` the per-layer ones plus the tracing overhead.  The last
-line of standard output is the result as one JSON object; the line
-before it records the machine.  Scratch files go under
+``--trace 1`` the per-layer ones plus the tracing overhead.  End-to-end
+times are scaled to a reference host by a fixed loop timed beside the
+work (``measure.host_scale``).  The last line of standard output is the
+result as one JSON object; the line before it records the machine and
+the unscaled end-to-end values.  Scratch files go under
 ``.perfbench_work/`` in the checkout and are removed on exit.
 """
 
@@ -68,7 +70,7 @@ def main(argv: list[str]) -> int:
     try:
         outcome = run_workload(args.workload, args.seed, args.seconds,
                                bool(args.trace), workdir=workdir)
-        context = machine()
+        context = machine(outcome.references)
     finally:
         tempfile.tempdir = None
         shutil.rmtree(workdir, ignore_errors=True)
@@ -82,6 +84,7 @@ def main(argv: list[str]) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "error_rate": outcome.failed / max(outcome.attempted, 1),
+        "unscaled": outcome.raw,
     }))
     print(json.dumps(outcome.result(PER_LAYER if args.trace else END_TO_END)))
     return 0

@@ -7,9 +7,14 @@ two connections:
 * the reader, a closed loop (mediator callers wait for each reply):
   Zipf(s=1.1) over ``/infer`` generalizations/specializations and a
   range ``/query`` per source class;
-* the writer, an open loop: one ``/churn`` batch every
-  ``WRITE_INTERVAL_S`` on a fixed seeded schedule, each write timed
-  from the moment it was due.
+* the writer, an open loop: ``/churn`` batches on a fixed seeded
+  schedule, each write timed from the moment it was due.
+
+The run is cut into windows.  Between windows both loops pause and this
+process times the reference loop (``measure.reference_s``), so every
+window's times are scaled by the host's speed around it, and the
+writer's interval in the next window is a fixed multiple of the
+reference time (``WRITE_EVERY``).
 
 Afterwards a fixed sample of answers is read from the server, and the
 same churn schedule is replayed into a fresh in-process
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import http.client
+import itertools
 import json
 import os
 import random
@@ -35,19 +41,24 @@ from time import perf_counter, sleep
 from repro.workloads.loadgen import LoadClient
 
 from perfbench import inputs as inp
-from perfbench.measure import Outcome, percentile
+from perfbench.measure import Outcome, Pacer, host_scale, percentile, scaled_value
 from perfbench.tracing import Span, self_times, span_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 _READY_TIMEOUT_S = 150.0
-#: The writer's schedule.  A write holds the write lock for 60-130 ms
-#: on the slowest host state seen (its calibration loop 5x slower than
-#: on a calm host), so the writer holds the lock about a third of the
-#: time there and far less on a calm host: a slower write path moves
-#: read throughput in proportion, not out of it, as it does when the
-#: writer nears saturation.  On the slow host about one read in 35 waits
-#: behind a write, so ``read_p99_ms`` lands among the blocked reads.
-WRITE_INTERVAL_S = 0.3
+#: The writer's schedule: one write due every ``WRITE_EVERY`` reference
+#: times (the median of the last three before the window).  A write
+#: holds the write lock for about 0.8 reference times, so the writer
+#: holds it about a fifth of the time whatever the host's speed: far
+#: from saturation, where a small slowdown of the write path would move
+#: ``read_rps``, ``read_p99_ms`` and ``write_p90_ms`` by far more than
+#: itself (every 2.5 or 3 reference times, ``read_rps`` spread twice as
+#: much).  A fixed interval in seconds would put a slow host near
+#: saturation and leave a fast one nearly idle.  The interval follows
+#: the host, not the code: a faster write path leaves it unchanged.
+WRITE_EVERY = 4.0
+#: measured windows per run: about this many seconds each
+WINDOW_S = 2.5
 _READ_PHASE = ("serving.query", "serving.infer")
 _WRITE_PHASE = ("serving.churn",)
 
@@ -82,14 +93,15 @@ class Child:
             raise RuntimeError("serve child exited or timed out before answering")
         return json.loads(line)
 
-    def send(self, command: str) -> None:
+    def send(self, command: str) -> dict:
+        """One command; returns the child's answer line."""
         self.proc.stdin.write(command + "\n")
         self.proc.stdin.flush()
+        return self._line(60.0)
 
     def stop(self) -> dict:
         try:
-            self.send("stop")
-            return self._line(60.0)
+            return self.send("stop")
         finally:
             self.kill()
 
@@ -110,57 +122,67 @@ class Child:
 
 @dataclass
 class Load:
-    # (start, end, ok, rows or None for /infer)
-    reads: list[tuple[float, float, bool, int | None]] = field(default_factory=list)
-    writes: list[tuple[float, float, float, bool]] = field(default_factory=list)  # due, sent, done, ok
+    # (window, start, end, ok, rows or None for /infer)
+    reads: list[tuple[int, float, float, bool, int | None]] = field(default_factory=list)
+    # (window, due, sent, done, ok)
+    writes: list[tuple[int, float, float, float, bool]] = field(default_factory=list)
     applied: list[dict] = field(default_factory=list)  # acknowledged churn batches, in order
+    spans: list[tuple[float, float]] = field(default_factory=list)  # (start, end) per window
+    intervals: list[float] = field(default_factory=list)  # write interval per window
+    scales: list[float] = field(default_factory=list)  # host scale per window
 
 
-def _read_loop(port, stream, end, load: Load) -> None:
-    client = LoadClient("127.0.0.1", port)
-    try:
-        for request in stream:
-            t0 = perf_counter()
-            if t0 >= end:
-                return
-            try:
-                answer = client.post(request["path"], request["body"])
-                ok = bool(answer.get("ok"))
-            except (OSError, http.client.HTTPException, ValueError):
-                ok, answer = False, {}
-                client.close()
-                client = LoadClient("127.0.0.1", port)
-            rows = len(answer["row_data"]) if "row_data" in answer else None
-            load.reads.append((t0, perf_counter(), ok, rows))
-    finally:
-        client.close()
+def _read_loop(client, stream, window, end, load: Load) -> None:
+    for request in stream:
+        t0 = perf_counter()
+        try:
+            answer = client.post(request["path"], request["body"])
+            ok = bool(answer.get("ok"))
+        except (OSError, http.client.HTTPException, ValueError):
+            ok, answer = False, {}
+            client.reconnect()
+        rows = len(answer["row_data"]) if "row_data" in answer else None
+        load.reads.append((window, t0, perf_counter(), ok, rows))
+        if perf_counter() >= end:
+            return
 
 
-def _write_loop(port, start, end, load: Load) -> None:
-    client = LoadClient("127.0.0.1", port)
-    try:
-        k = 0
-        while True:
-            due = start + (k + 1) * WRITE_INTERVAL_S
-            if due >= end or perf_counter() >= end:
-                return  # a backlog left at the window's end is not sent
-            wait = due - perf_counter()
-            if wait > 0:
-                sleep(wait)
-            batch = inp.churn_batch(k)
-            sent = perf_counter()
-            try:
-                ok = bool(client.post("/churn", batch).get("ok"))
-            except (OSError, http.client.HTTPException, ValueError):
-                ok = False
-                client.close()
-                client = LoadClient("127.0.0.1", port)
-            load.writes.append((due, sent, perf_counter(), ok))
-            if ok:
-                load.applied.append(batch)
-            k += 1
-    finally:
-        client.close()
+def _write_loop(client, batches, window, start, end, interval, load: Load) -> None:
+    for j in itertools.count():
+        due = start + (j + 0.5) * interval
+        if due >= end or perf_counter() >= end:
+            return  # a backlog left at the window's end is not sent
+        wait = due - perf_counter()
+        if wait > 0:
+            sleep(wait)
+        batch = inp.churn_batch(next(batches))
+        sent = perf_counter()
+        try:
+            ok = bool(client.post("/churn", batch).get("ok"))
+        except (OSError, http.client.HTTPException, ValueError):
+            ok = False
+            client.reconnect()
+        load.writes.append((window, due, sent, perf_counter(), ok))
+        if ok:
+            load.applied.append(batch)
+
+
+class _Client:
+    """A ``LoadClient`` that can replace its connection after an error."""
+
+    def __init__(self, port: int) -> None:
+        self.port = port
+        self.client = LoadClient("127.0.0.1", port)
+
+    def post(self, path, body):
+        return self.client.post(path, body)
+
+    def reconnect(self) -> None:
+        self.client.close()
+        self.client = LoadClient("127.0.0.1", self.port)
+
+    def close(self) -> None:
+        self.client.close()
 
 
 def _strip(answer: dict) -> str:
@@ -194,73 +216,108 @@ def run(seed: int, seconds: float, trace: bool, sizes: inp.Sizes, fault,
         workdir: Path) -> Outcome:
     # set-up is the server's start, its build included: done several
     # times, the last server stays up for the measurement
-    setups: list[float] = []
-    builds: list[float] = []
+    setups: list[tuple[float, float]] = []  # (seconds, host scale)
+    builds: list[tuple[float, float]] = []
+    references: list[float] = []
     child = None
+    # The reader and the server hand every request back and forth.  On
+    # one CPU that is a local switch; across two it wakes an idle CPU,
+    # and that delay follows the host's load, not its speed, which the
+    # reference cannot scale.  The server child inherits the mask.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
     try:
         for i in range(sizes.serve_setups):
             if child is not None:
                 child.stop()
             child = Child(sizes, seed, workdir / f"child{i}")
-            setups.append(child.ready_s)
-            builds.append(child.info["build_s"])
-        return _measure(child, setups, builds, seed, seconds, trace, sizes, fault)
+            # the child times the reference around its build: those runs
+            # give its start-up the host's speed, and are not set-up time
+            started = child.info["references"]
+            scale = host_scale(*started)
+            setups.append((child.ready_s - sum(started), scale))
+            builds.append((child.info["build_s"], scale))
+            references += started
+        out = _measure(child, setups, builds, seed, seconds, trace, sizes, fault)
+        out.references[:0] = references
+        return out
     finally:
         if child is not None:
             child.kill()
+        os.sched_setaffinity(0, cpus)
 
 
 def _measure(child, setups, builds, seed, seconds, trace, sizes, fault) -> Outcome:
     port = child.info["port"]
     pool = inp.read_pool(inp.make_build_inputs(sizes, seed).terms)
-    stream = inp.zipf_stream(pool, int(seconds * 3000) + 100,
-                             random.Random(seed * 17 + 5))
+    stream = iter(inp.zipf_stream(pool, int(seconds * 3000) + 100,
+                                  random.Random(seed * 17 + 5)))
     sample = random.Random(seed * 13 + 7).sample(pool, min(sizes.answer_sample, len(pool)))
-    control = LoadClient("127.0.0.1", port)
+    n_windows = max(2, round(seconds / WINDOW_S))
+    window_s = seconds / n_windows
+    batches = itertools.count()
+    load = Load()
+    pacer = Pacer()  # the host's speed as the first window starts
+    reader, writer, control = _Client(port), _Client(port), LoadClient("127.0.0.1", port)
     try:
         before = control.get("/stats")
-        load = Load()
-        start = perf_counter() + 0.05
-        end = start + seconds
-        threads = [
-            threading.Thread(target=_read_loop, args=(port, stream, end, load), daemon=True),
-            threading.Thread(target=_write_loop, args=(port, start, end, load), daemon=True),
-        ]
-        for thread in threads:
-            thread.start()
         # a traced run alternates untraced and traced windows, so the
         # tracing overhead is measured under the same load
-        window = seconds / 8
+        for window in range(n_windows):
+            if trace:
+                child.send("trace on" if window % 2 else "trace off")
+            interval = WRITE_EVERY * statistics.median(pacer.references[-3:])
+            start = perf_counter()
+            end = start + window_s
+            threads = [
+                threading.Thread(target=_read_loop, daemon=True,
+                                 args=(reader, stream, window, end, load)),
+                threading.Thread(target=_write_loop, daemon=True,
+                                 args=(writer, batches, window, start, end,
+                                       interval, load)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=window_s + 120)
+            load.spans.append((start, max([end] + [e for w, _, e, _, _ in load.reads
+                                                   if w == window])))
+            load.intervals.append(interval)
+            load.scales.append(pacer.mark())
         if trace:
-            for i in range(1, 8):
-                sleep(max(start + i * window - perf_counter(), 0))
-                child.send("trace on" if i % 2 else "trace off")
-        for thread in threads:
-            thread.join(timeout=seconds + 120)
+            child.send("trace off")
         after = control.get("/stats")
         served = [_strip(control.post(r["path"], r["body"])) for r in sample]
     finally:
-        control.close()
+        for client in (reader, writer, control):
+            client.close()
     final = child.stop()
     if fault is not None:
         served = fault(served)
 
-    out = Outcome()
+    out = Outcome(references=pacer.references)
     out.attempted = len(load.reads) + len(load.writes) + len(sample)
-    out.failed = sum(not ok for *_, ok, _ in load.reads) + sum(not w[3] for w in load.writes)
+    out.failed = (sum(not r[3] for r in load.reads)
+                  + sum(not w[4] for w in load.writes))
     replayed = replay_answers(sizes, seed, load.applied, sample)
     for request, got, want in zip(sample, served, replayed):
         out.check(got == want, f"server answer differs from replay: {request}")
 
-    def traced(t0: float) -> bool:
-        return trace and int((t0 - start) / window) % 2 == 1
+    def traced(window: int) -> bool:
+        return trace and window % 2 == 1
 
-    def end_to_end(on: bool, span_s: float) -> dict:
-        reads = [e - s for s, e, _, _ in load.reads if traced(s) == on]
-        writes = [d - due for due, _, d, _ in load.writes if traced(due) == on]
+    def end_to_end(on: bool, scaled: bool = True) -> dict:
+        """Every time is scaled by its window's host scale, unless
+        ``scaled`` is false; see ``measure.host_scale``."""
+        scale = load.scales if scaled else [1.0] * n_windows
+        windows = [i for i in range(n_windows) if traced(i) == on]
+        reads = [(e - s) * scale[w] for w, s, e, _, _ in load.reads if traced(w) == on]
+        writes = [(d - due) * scale[w] for w, due, _, d, _ in load.writes
+                  if traced(w) == on]
+        span_s = sum((load.spans[i][1] - load.spans[i][0]) * scale[i] for i in windows)
         return {
-            "setup_s": (statistics.median(setups), "s"),
-            "build_s": (statistics.median(builds), "s"),
+            "setup_s": (statistics.median(scaled_value(s, scaled) for s in setups), "s"),
+            "build_s": (statistics.median(scaled_value(b, scaled) for b in builds), "s"),
             "read_p50_ms": (percentile(reads, 50) * 1e3, "ms"),
             "read_p99_ms": (percentile(reads, 99) * 1e3, "ms"),
             "read_rps": (len(reads) / span_s, "1/s"),
@@ -269,14 +326,13 @@ def _measure(child, setups, builds, seed, seconds, trace, sizes, fault) -> Outco
             "peak_rss_mb": (final["peak_rss_mb"], "MB"),
         }
 
-    # the reader's measured span (the last read may end after ``end``)
-    elapsed = max((e for _, e, _, _ in load.reads), default=end) - start
-    untraced = end_to_end(False, elapsed / 2 if trace else elapsed)
+    untraced = end_to_end(False)
     if not trace:
         out.metrics = untraced
+        out.raw = {name: value for name, (value, _) in end_to_end(False, False).items()}
         return out
     out.metrics = _per_layer(child.info, final, load, before, after, traced)
-    with_trace = end_to_end(True, elapsed / 2)
+    with_trace = end_to_end(True)
     for name, (value, unit) in untraced.items():
         if name not in ("setup_s", "build_s", "peak_rss_mb"):
             out.metrics[f"trace_overhead.{name}"] = (with_trace[name][0] - value, unit)
@@ -299,11 +355,11 @@ def _per_layer(info, final, load, before, after, traced) -> dict:
 
     service_read = sum(s.duration for s in roots if s.name in _READ_PHASE)
     service_read_ms = service_read * 1e3 / max(n_reads, 1)
-    client_reads = [(s, e, rows) for s, e, _, rows in load.reads if traced(s)]
+    client_reads = [(s, e, rows) for w, s, e, _, rows in load.reads if traced(w)]
     client_read_ms = statistics.fmean(e - s for s, e, _ in client_reads) * 1e3
-    client_writes = [(sent, done) for _, sent, done, _ in load.writes if traced(sent)]
+    client_writes = [(sent, done) for w, _, sent, done, _ in load.writes if traced(w)]
     queries = [rows for _, _, rows in client_reads if rows is not None]
-    windows = [(sent, done) for _, sent, done, _ in load.writes]
+    windows = [(sent, done) for _, _, sent, done, _ in load.writes]
     overlapping = sum(
         any(s < done and sent < e for sent, done in windows) for s, e, _ in client_reads)
     client_total = (sum(e - s for s, e, _ in client_reads)
@@ -354,7 +410,8 @@ def _per_layer(info, final, load, before, after, traced) -> dict:
             / max(n_writes, 1), "ms"),
         "serving.reads_overlapping_write": (overlapping / max(len(client_reads), 1), "ratio"),
         "serving.write_lag_ms": (
-            statistics.fmean(sent - due for due, sent, _, _ in load.writes) * 1e3, "ms"),
+            statistics.fmean(sent - due for _, due, sent, _, _ in load.writes) * 1e3, "ms"),
+        "serving.write_interval_ms": (statistics.fmean(load.intervals) * 1e3, "ms"),
         "reliability.journal_ms": (
             sum(per(_WRITE_PHASE, f"reliability.journal_{op}", n_writes)
                 for op in ("begin", "commit", "snapshot")), "ms"),

@@ -5,7 +5,8 @@ with seeded instance stores into an ``ArticulationService`` whose churn
 journal is on, and serves it over HTTP on an ephemeral port.  It prints
 one JSON line when ready, then obeys commands on standard input:
 
-* ``trace on`` / ``trace off`` -- wrap the layer entry points or not;
+* ``trace on`` / ``trace off`` -- wrap the layer entry points or not,
+  then print a JSON line saying so;
 * ``stop`` -- stop serving, print the final JSON line (peak RSS, spans,
   counters) and exit.
 """
@@ -21,20 +22,27 @@ from pathlib import Path
 from time import perf_counter
 
 
-def start_service(sizes, seed: int, journal: Path):
-    """Inputs -> articulation -> service; returns (service, ready info)."""
+def start_service(sizes, seed: int, journal: Path, pacer=None):
+    """Inputs -> articulation -> service; returns (service, ready info).
+
+    ``pacer`` times the reference as the build starts and after its
+    articulation and install phases."""
     from repro.inference.horn import HornEngine
     from repro.serving.service import ArticulationService
 
     from perfbench import builds
     from perfbench import inputs as inp
+    from perfbench.measure import unpaced
 
     source_inputs = inp.make_build_inputs(sizes, seed)
     ontologies = source_inputs.ontologies()
     lexicon = source_inputs.wordnet()
+    mark = pacer.mark if pacer is not None else unpaced
+    mark()
     t0 = perf_counter()
     articulation, proposals, accepted, pairs = builds.articulate(ontologies, lexicon)
     articulate_s = perf_counter() - t0
+    mark()
     # instance rows are inputs, made outside the build timing
     stores = inp.instance_stores(seed, articulation)
     service = ArticulationService(journal_path=str(journal) if journal else None)
@@ -52,6 +60,7 @@ def start_service(sizes, seed: int, journal: Path):
         t0 = perf_counter()
         installed = service.install(articulation, stores=stores)
         install_s = perf_counter() - t0
+        mark()
     finally:
         HornEngine.saturate = original
     return service, {
@@ -74,13 +83,15 @@ def main(argv: list[str]) -> int:
     from repro.serving.server import ArticulationServer
 
     from perfbench import inputs as inp
-    from perfbench.measure import peak_rss_mb
+    from perfbench.measure import Pacer, peak_rss_mb
     from perfbench.tracing import Tracer, instrumented
 
     workdir = Path(args.workdir)
     tempfile.tempdir = str(workdir)
     sizes = inp.Sizes(**json.loads(args.sizes))
-    service, info = start_service(sizes, args.seed, workdir / "serve.journal")
+    pacer = Pacer()
+    service, info = start_service(sizes, args.seed, workdir / "serve.journal", pacer)
+    info["references"] = pacer.references
     server = ArticulationServer(service, port=0).start()
     info["port"] = server.port
     print(json.dumps(info), flush=True)
@@ -95,6 +106,7 @@ def main(argv: list[str]) -> int:
                 tracing.close()
             elif command == "stop":
                 break
+            print(json.dumps({"done": command}), flush=True)
     server.stop()
     print(json.dumps({
         "peak_rss_mb": peak_rss_mb(),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from perfbench import builds, inputs
+from perfbench import builds, inputs, measure
 from perfbench.measure import END_TO_END, PER_LAYER
 from perfbench.run import WORKLOADS, run_workload
 
@@ -110,6 +110,20 @@ def test_corrupted_server_answer_is_a_failure(tmp_path):
                            fault=_corrupt_one_answer, workdir=tmp_path)
     result = outcome.result(END_TO_END)
     assert not result["correct"] and result["failed"] == 1
+
+
+def test_host_scale_cancels_a_uniform_slowdown():
+    """A host at half speed doubles both the phase and its references."""
+    phase_s, references = 0.3, (0.05, 0.07, 0.06)
+    slow = tuple(2 * t for t in references)
+    assert measure.host_scale(*references) * phase_s == pytest.approx(
+        measure.host_scale(*slow) * 2 * phase_s)
+    assert measure.host_scale(0.1, nominal=0.04) == pytest.approx(0.4)
+    pacer = measure.Pacer()
+    scale = pacer.mark()
+    assert len(pacer.references) == 2
+    assert scale == pytest.approx(measure.host_scale(*pacer.references))
+    assert measure.scaled_value((2.0, scale), scaled=False) == 2.0
 
 
 def test_benchmark_json_matches_the_code():
