@@ -104,6 +104,7 @@ __all__ = [
     "ParallelScheduler",
     "compile_clause",
     "is_variable",
+    "query_store",
     "seed_rebuild_crossover",
     "substitute",
     "unify_atom",
@@ -195,6 +196,13 @@ class FactStore:
     shielded from overdeletion); the deletion delta is API surface for
     external overlay owners, and tombstone-free overlays pay only a
     counter lookup on the read path.
+
+    Saturation talks to a store in batches: once per semi-naive round
+    it asks :meth:`missing` which of the round's heads are new, then
+    hands those to :meth:`add_many`.  Both mean exactly what a loop of
+    ``in`` / :meth:`add` would (tombstoned base facts count as missing,
+    and adding one lifts its tombstone); a store may answer them in
+    bulk — the paged store turns each into a few SQL statements.
     """
 
     __slots__ = (
@@ -275,6 +283,17 @@ class FactStore:
             else:
                 bucket[atom] = None
         return True
+
+    def missing(self, atoms: Iterable[Atom]) -> list[Atom]:
+        """The atoms not in the store, in input order (duplicates kept)."""
+        if self._base is None:
+            facts = self._facts
+            return [atom for atom in atoms if atom not in facts]
+        return [atom for atom in atoms if atom not in self]
+
+    def add_many(self, atoms: Iterable[Atom]) -> int:
+        """:meth:`add` every atom, in order; returns how many were new."""
+        return sum(map(self.add, atoms))
 
     def remove(self, atom: Atom) -> bool:
         """Delete a fact, maintaining every index; False if absent.
@@ -408,6 +427,35 @@ class FactStore:
                         self._deleted_by_pred.get(pred, 0),
                     )
         yield from self._facts
+
+
+def query_store(store: FactStore, pattern: Atom) -> list[dict[str, str]]:
+    """All bindings of a (possibly non-ground) atom against a store.
+
+    Ground argument positions probe the argument index and the most
+    selective bucket is scanned; bucket sizes are read only when there
+    is more than one bound position to choose from.
+    """
+    predicate = pattern[0]
+    bound = [
+        (position, arg)
+        for position, arg in enumerate(pattern)
+        if position and not is_variable(arg)
+    ]
+    if bound:
+        position, value = bound[0] if len(bound) == 1 else min(
+            bound,
+            key=lambda pv: store.probe_size(predicate, pv[0], pv[1]),
+        )
+        pool: Iterable[Atom] = store.probe(predicate, position, value)
+    else:
+        pool = store.pool(predicate)
+    results: list[dict[str, str]] = []
+    for fact in pool:
+        binding = unify_atom(pattern, fact)
+        if binding is not None:
+            results.append(binding)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -755,8 +803,7 @@ def _saturate_stratum_task(
             raise FaultInjected("injected stratum-task failure")
     stratum = list(stratum)
     store = FactStore()
-    for atom in facts:
-        store.add(atom)
+    store.add_many(facts)
     engine = HornEngine(record_derivations=record, store=store)
     if delta_items is None:
         delta0 = engine._initial_delta(stratum)
@@ -1055,11 +1102,12 @@ class ParallelScheduler:
                     # deterministic in-process
                     failed(i)
                     continue
-                for fact in new:
-                    if store.add(fact):
-                        derived += 1
-                        if incremental:
-                            by_pred.setdefault(fact[0], set()).add(fact)
+                new = store.missing(new)
+                store.add_many(new)
+                derived += len(new)
+                if incremental:
+                    for fact in new:
+                        by_pred.setdefault(fact[0], set()).add(fact)
                 for fact, clause_index, premises in derivations:
                     engine._record_new(
                         strata[i][clause_index], fact, premises
@@ -1426,26 +1474,38 @@ class HornEngine:
         delta: Mapping[str, set[Atom]] | None,
         slots: list,
     ) -> Iterable[Atom]:
-        """The fact pool one step scans, via the cheapest index probe."""
+        """The fact pool one step scans, via the cheapest index probe.
+
+        Bucket sizes are read only when the step has more than one
+        bound position to choose from.
+        """
         if step.pool == _POOL_DELTA:
             return delta.get(step.pred, ())
         store = self._store
-        stats = self.last_stats
+        const_checks = step.const_checks
+        bound_checks = step.bound_checks
         best_key: tuple[int, str] | None = None
-        best_size = -1
-        for position, value in step.const_checks:
-            size = store.probe_size(step.pred, position, value)
-            if best_size < 0 or size < best_size:
-                best_size, best_key = size, (position, value)
-        for position, slot in step.bound_checks:
-            value = slots[slot]
-            size = store.probe_size(step.pred, position, value)
-            if best_size < 0 or size < best_size:
-                best_size, best_key = size, (position, value)
+        if len(const_checks) + len(bound_checks) == 1:
+            if const_checks:
+                best_key = const_checks[0]
+            else:
+                position, slot = bound_checks[0]
+                best_key = (position, slots[slot])
+        else:
+            best_size = -1
+            for position, value in const_checks:
+                size = store.probe_size(step.pred, position, value)
+                if best_size < 0 or size < best_size:
+                    best_size, best_key = size, (position, value)
+            for position, slot in bound_checks:
+                value = slots[slot]
+                size = store.probe_size(step.pred, position, value)
+                if best_size < 0 or size < best_size:
+                    best_size, best_key = size, (position, value)
         if best_key is None:
             candidates: Iterable[Atom] = store.pool(step.pred)
         else:
-            stats["index_probes"] += 1
+            self.last_stats["index_probes"] += 1
             candidates = store.probe(step.pred, best_key[0], best_key[1])
         if step.pool == _POOL_OLD and delta:
             delta_set = delta.get(step.pred)
@@ -1563,6 +1623,39 @@ class HornEngine:
         if self.record_derivations and head not in self._derivations:
             self._derivations[head] = Derivation(cc.clause, premises)
 
+    def _derive(
+        self,
+        runs: Iterable[
+            tuple[CompiledClause, _JoinPlan, Mapping[str, set[Atom]] | None]
+        ],
+    ) -> list[Atom]:
+        """Run a batch of join plans, store the new heads, return them.
+
+        Every ``(clause, plan, delta)`` run is enumerated before the
+        store changes, each head keeping the first proof found for it.
+        The store is then asked once which heads are missing and given
+        them in one call; each new head records its first proof.
+        """
+        # two flat maps, not a (clause, premises) tuple per head: every
+        # head lives to the round's end, and a tuple each doubles the
+        # cyclic garbage collector's work during saturation
+        found: dict[Atom, CompiledClause] = {}
+        proofs: dict[Atom, tuple[Atom, ...] | None] = {}
+        for cc, plan, delta in runs:
+            for head, premises in self._run_plan(cc, plan, delta):
+                if head not in found:
+                    found[head] = cc
+                    proofs[head] = premises
+        store = self._store
+        new = store.missing(found)
+        if new:
+            store.add_many(new)
+            self._derived_ever = True
+            if self.record_derivations:
+                for head in new:
+                    self._record_new(found[head], head, proofs[head])
+        return new
+
     def _eval_stratum(
         self,
         stratum: list[CompiledClause],
@@ -1572,8 +1665,8 @@ class HornEngine:
         """Semi-naive rounds over one stratum; returns (new facts, at
         fixpoint).  Only (clause, position) pairs whose predicate is in
         the round's delta are visited; facts derived in a round join in
-        the next one (snapshot semantics)."""
-        store = self._store
+        the next one (snapshot semantics), so the store is read and
+        written once per round (:meth:`_derive`)."""
         stats = self.last_stats
         schedule: dict[str, list[tuple[CompiledClause, _JoinPlan]]] = {}
         for cc in stratum:
@@ -1589,21 +1682,13 @@ class HornEngine:
         while delta:
             rounds += 1
             stats["rounds"] += 1
-            round_new: list[Atom] = []
-            round_set: set[Atom] = set()
-            for pred in delta:
-                for cc, plan in schedule[pred]:
-                    stats["activations"] += 1
-                    for head, premises in self._run_plan(cc, plan, delta):
-                        if head in round_set or head in store:
-                            continue
-                        round_set.add(head)
-                        round_new.append(head)
-                        self._record_new(cc, head, premises)
-            if round_new:
-                self._derived_ever = True
-            for fact in round_new:
-                store.add(fact)
+            runs = [
+                (cc, plan, delta)
+                for pred in delta
+                for cc, plan in schedule[pred]
+            ]
+            stats["activations"] += len(runs)
+            round_new = self._derive(runs)
             all_new.extend(round_new)
             if not round_new:
                 return all_new, True
@@ -1656,7 +1741,6 @@ class HornEngine:
         return derived, at_fixpoint
 
     def _saturate_naive(self, max_rounds: int | None) -> tuple[int, bool]:
-        store = self._store
         stats = self.last_stats
         stats["strata"] = 1 if self._compiled else 0  # naive is flat
         derived_total = 0
@@ -1664,20 +1748,10 @@ class HornEngine:
         while True:
             rounds += 1
             stats["rounds"] += 1
-            round_new: list[Atom] = []
-            round_set: set[Atom] = set()
-            for cc in self._compiled:
-                stats["activations"] += 1
-                for head, premises in self._run_plan(cc, cc.full_plan, None):
-                    if head in round_set or head in store:
-                        continue
-                    round_set.add(head)
-                    round_new.append(head)
-                    self._record_new(cc, head, premises)
-            if round_new:
-                self._derived_ever = True
-            for fact in round_new:
-                store.add(fact)
+            stats["activations"] += len(self._compiled)
+            round_new = self._derive(
+                (cc, cc.full_plan, None) for cc in self._compiled
+            )
             derived_total += len(round_new)
             if not round_new:
                 return derived_total, True
@@ -1701,17 +1775,10 @@ class HornEngine:
         self._pending_clauses = []
         derived = 0
         for cc in new_clauses:
-            # Materialize before inserting: adding heads would mutate
-            # the pool/index lists the join is iterating over.
-            matches = list(self._run_plan(cc, cc.full_plan, None))
-            for head, premises in matches:
-                if head in store:
-                    continue
-                store.add(head)
-                self._derived_ever = True
-                self._record_new(cc, head, premises)
-                seeds.append(head)
-                derived += 1
+            # one clause at a time: the next clause sees these heads
+            new = self._derive([(cc, cc.full_plan, None)])
+            seeds.extend(new)
+            derived += len(new)
         by_pred: dict[str, set[Atom]] = {}
         for fact in seeds:
             by_pred.setdefault(fact[0], set()).add(fact)
@@ -2155,33 +2222,10 @@ class HornEngine:
         return atom in self._store
 
     def query(self, pattern: Atom) -> list[dict[str, str]]:
-        """All bindings of a (possibly non-ground) atom.
-
-        Ground argument positions probe the argument index; the most
-        selective bucket is scanned.
-        """
+        """All bindings of a (possibly non-ground) atom
+        (:func:`query_store` over the saturated store)."""
         self._ensure_current()
-        predicate = pattern[0]
-        store = self._store
-        bound = [
-            (position, arg)
-            for position, arg in enumerate(pattern)
-            if position and not is_variable(arg)
-        ]
-        if bound:
-            position, value = min(
-                bound,
-                key=lambda pv: store.probe_size(predicate, pv[0], pv[1]),
-            )
-            pool: Iterable[Atom] = store.probe(predicate, position, value)
-        else:
-            pool = store.pool(predicate)
-        results: list[dict[str, str]] = []
-        for fact in pool:
-            binding = unify_atom(pattern, fact)
-            if binding is not None:
-                results.append(binding)
-        return results
+        return query_store(self._store, pattern)
 
     def facts(self, predicate: str | None = None) -> set[Atom]:
         """A fresh set of (all or one predicate's) derivable facts.
@@ -2212,8 +2256,7 @@ class HornEngine:
         self._ensure_current()
         old = self._store
         fresh = self._new_store()
-        for atom in old.iter_facts():
-            fresh.add(atom)
+        fresh.add_many(old.iter_facts())
         self._store = fresh
         return old
 

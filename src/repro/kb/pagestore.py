@@ -28,6 +28,17 @@ larger than half the pool are streamed rather than pinned
 (``oversize`` in the stats).  Hit/miss/eviction counters feed the
 out-of-core benchmark's honesty requirement.
 
+Saturation reads and writes the store a round at a time, and so does
+this store: :meth:`PagedFactStore.missing` answers what it can from
+buffered buckets and sends the rest to SQLite as chunked ``atom IN
+(...)`` lookups, and :meth:`PagedFactStore.add_many` takes its input
+in bounded slices, drops what :meth:`~PagedFactStore.missing` says is
+stored and writes the rest with one ``executemany`` per table inside
+the group-commit transaction, patching buffered buckets exactly as
+:meth:`add` does.  Both mean what a loop of ``in`` / ``add`` would,
+and every fact ``add_many`` inserts counts toward the group commit,
+which is checked after each slice.
+
 Durability is *not* this store's contract — crash safety rides the
 :class:`~repro.reliability.journal.ChurnJournal` exactly as for the
 in-memory engine — so writes are group-committed (one transaction per
@@ -55,6 +66,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 __all__ = [
@@ -74,9 +86,17 @@ _COMMIT_EVERY = 20000
 
 _FETCH_CHUNK = 2048
 
+#: atoms per ``IN (...)`` membership query (bound parameters each)
+_IN_CHUNK = 500
+
+
+#: one encoder for every atom: ``json.dumps`` with options builds a
+#: new ``JSONEncoder`` per call, which costs more than the encoding
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
 
 def _encode(atom: Atom) -> str:
-    return json.dumps(list(atom), separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(atom)
 
 
 def _decode(text: str) -> Atom:
@@ -126,38 +146,10 @@ class PagedFactStore:
         self.path = str(path)
         self.buffer_facts = int(buffer_facts)
         self.commit_every = int(commit_every)
+        self.sqlite_cache_kb = int(sqlite_cache_kb)
         self._lock = threading.RLock()
         self._closed = False
-        conn = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=False
-        )
-        self._conn = conn
-        if self.path != ":memory:":
-            conn.execute("PRAGMA journal_mode = WAL")
-        conn.execute("PRAGMA synchronous = NORMAL")
-        # the *SQLite* page cache must stay small too, or the buffer
-        # pool's fact cap would be an accounting fiction
-        conn.execute(f"PRAGMA cache_size = -{int(sqlite_cache_kb)}")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS facts ("
-            " atom TEXT PRIMARY KEY,"
-            " pred TEXT NOT NULL) WITHOUT ROWID"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_facts_pred"
-            " ON facts (pred, atom)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS args ("
-            " pred TEXT NOT NULL,"
-            " pos INTEGER NOT NULL,"
-            " value TEXT NOT NULL,"
-            " atom TEXT NOT NULL)"
-        )
-        conn.execute(
-            "CREATE UNIQUE INDEX IF NOT EXISTS idx_args_cover"
-            " ON args (pred, pos, value, atom)"
-        )
+        self._conn = self._connect()
         # buffer pool: (pred, pos, value) -> insertion-ordered bucket
         self._buffer: OrderedDict[
             tuple[str, int, str], dict[Atom, None]
@@ -178,6 +170,44 @@ class PagedFactStore:
     # ------------------------------------------------------------------
     # connection plumbing
     # ------------------------------------------------------------------
+    def _connect(self) -> sqlite3.Connection:
+        """Open the database, set the pragmas, create any missing
+        table or index."""
+        conn = sqlite3.connect(
+            self.path, isolation_level=None, check_same_thread=False
+        )
+        if self.path != ":memory:":
+            conn.execute("PRAGMA journal_mode = WAL")
+        conn.execute("PRAGMA synchronous = NORMAL")
+        # the *SQLite* page cache must stay small too, or the buffer
+        # pool's fact cap would be an accounting fiction
+        conn.execute(f"PRAGMA cache_size = -{self.sqlite_cache_kb}")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS facts ("
+            " atom TEXT PRIMARY KEY,"
+            " pred TEXT NOT NULL) WITHOUT ROWID"
+        )
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS args ("
+            " pred TEXT NOT NULL,"
+            " pos INTEGER NOT NULL,"
+            " value TEXT NOT NULL,"
+            " atom TEXT NOT NULL)"
+        )
+        self._create_indexes(conn)
+        return conn
+
+    @staticmethod
+    def _create_indexes(conn: sqlite3.Connection) -> None:
+        conn.execute(
+            "CREATE INDEX IF NOT EXISTS idx_facts_pred"
+            " ON facts (pred, atom)"
+        )
+        conn.execute(
+            "CREATE UNIQUE INDEX IF NOT EXISTS idx_args_cover"
+            " ON args (pred, pos, value, atom)"
+        )
+
     def _reload_counts(self) -> None:
         self._pred_counts = {
             pred: count
@@ -187,12 +217,17 @@ class PagedFactStore:
         }
         self._count = sum(self._pred_counts.values())
 
-    def _mutating(self) -> None:
-        """Open (or extend) the group-commit transaction."""
+    def _begin(self) -> None:
+        """Open the group-commit transaction unless one is open."""
         if not self._in_tx:
             self._conn.execute("BEGIN")
             self._in_tx = True
-        self._tx_pending += 1
+
+    def _mutating(self, count: int = 1) -> None:
+        """Count ``count`` mutations into the group-commit transaction,
+        committing it once ``commit_every`` are pending."""
+        self._begin()
+        self._tx_pending += count
         if self._tx_pending >= self.commit_every:
             self._commit()
 
@@ -285,16 +320,23 @@ class PagedFactStore:
     # ------------------------------------------------------------------
     # the FactStore contract
     # ------------------------------------------------------------------
+    def _buffered(self, atom: Atom) -> bool | None:
+        """Membership as a buffered bucket answers it, None without one.
+
+        A cached bucket is a complete materialization of its key, so
+        any one of the atom's keys settles the question.
+        """
+        for position in range(1, len(atom)):
+            bucket = self._buffer.get((atom[0], position, atom[position]))
+            if bucket is not None:
+                return atom in bucket
+        return None
+
     def __contains__(self, atom: Atom) -> bool:
         with self._lock:
-            # a cached bucket is a complete materialization of its key,
-            # so membership can be answered without touching SQLite
-            for position in range(1, len(atom)):
-                bucket = self._buffer.get(
-                    (atom[0], position, atom[position])
-                )
-                if bucket is not None:
-                    return atom in bucket
+            known = self._buffered(atom)
+            if known is not None:
+                return known
             row = self._conn.execute(
                 "SELECT 1 FROM facts WHERE atom = ?", (_encode(atom),)
             ).fetchone()
@@ -323,22 +365,105 @@ class PagedFactStore:
                     for position in range(1, len(atom))
                 ],
             )
-            self._count += 1
-            self._pred_counts[predicate] = (
-                self._pred_counts.get(predicate, 0) + 1
-            )
-            for position in range(1, len(atom)):
-                key = (predicate, position, atom[position])
-                bucket = self._buffer.get(key)
-                if bucket is not None:
-                    if atom not in bucket:
-                        bucket[atom] = None
-                        self._buffered_facts += 1
-                elif key in self._sizes:
-                    self._sizes[key] += 1
-            if self._buffered_facts > self.buffer_facts:
-                self._evict_to(self.buffer_facts)
+            self._note_added(atom)
             return True
+
+    def _note_added(self, atom: Atom) -> None:
+        """Counts and buffered buckets after one fact was inserted."""
+        predicate = atom[0]
+        self._count += 1
+        self._pred_counts[predicate] = self._pred_counts.get(predicate, 0) + 1
+        for position in range(1, len(atom)):
+            key = (predicate, position, atom[position])
+            bucket = self._buffer.get(key)
+            if bucket is not None:
+                if atom not in bucket:
+                    bucket[atom] = None
+                    self._buffered_facts += 1
+            elif key in self._sizes:
+                self._sizes[key] += 1
+        if self._buffered_facts > self.buffer_facts:
+            self._evict_to(self.buffer_facts)
+
+    def missing(self, atoms: Iterable[Atom]) -> list[Atom]:
+        """The atoms not in the store, in input order (duplicates kept).
+
+        Buffered buckets answer first, as for ``in``; the other atoms
+        are looked up in ``IN (...)`` queries of at most ``_IN_CHUNK``.
+        """
+        with self._lock:
+            return [atom for atom, _ in self._absent(list(atoms))]
+
+    def _absent(self, atoms: list[Atom]) -> list[tuple[Atom, str | None]]:
+        """:meth:`missing`, each atom paired with its encoding when a
+        lookup needed one (None when a buffered bucket answered)."""
+        # per atom: the buffer's answer, or the encoding to look up
+        verdicts: list[bool | str] = []
+        lookups: list[str] = []
+        for atom in atoms:
+            verdict = self._buffered(atom)
+            if verdict is None:
+                verdict = _encode(atom)
+                lookups.append(verdict)
+            verdicts.append(verdict)
+        stored: set[str] = set()
+        for start in range(0, len(lookups), _IN_CHUNK):
+            chunk = lookups[start:start + _IN_CHUNK]
+            stored.update(
+                encoded
+                for (encoded,) in self._conn.execute(
+                    "SELECT atom FROM facts WHERE atom IN"
+                    f" ({','.join('?' * len(chunk))})",
+                    chunk,
+                )
+            )
+        return [
+            (atom, None if verdict is False else verdict)
+            for atom, verdict in zip(atoms, verdicts)
+            if verdict is False
+            or (verdict is not True and verdict not in stored)
+        ]
+
+    def add_many(self, atoms: Iterable[Atom]) -> int:
+        """Insert every atom not yet stored; returns how many were new.
+
+        The input is consumed ``_FETCH_CHUNK`` atoms at a time, so a
+        streamed closure never sits in memory whole.  Per slice,
+        :meth:`missing` drops the atoms already stored and one
+        ``executemany`` per table inserts the rest inside the
+        group-commit transaction; every inserted fact counts toward
+        ``commit_every``, checked after each slice.
+        """
+        added = 0
+        source = iter(atoms)
+        with self._lock:
+            conn = self._conn
+            while chunk := list(islice(source, _FETCH_CHUNK)):
+                new = [
+                    (atom, text or _encode(atom))
+                    for atom, text in self._absent(list(dict.fromkeys(chunk)))
+                ]
+                if not new:
+                    continue
+                self._begin()
+                conn.executemany(
+                    "INSERT INTO facts (atom, pred) VALUES (?, ?)",
+                    [(text, atom[0]) for atom, text in new],
+                )
+                conn.executemany(
+                    "INSERT OR IGNORE INTO args (pred, pos, value, atom)"
+                    " VALUES (?, ?, ?, ?)",
+                    [
+                        (atom[0], position, atom[position], text)
+                        for atom, text in new
+                        for position in range(1, len(atom))
+                    ],
+                )
+                for atom, _ in new:
+                    self._note_added(atom)
+                self._mutating(len(new))
+                added += len(new)
+        return added
 
     def remove(self, atom: Atom) -> bool:
         """Delete a fact, maintaining every index; False if absent."""
@@ -470,94 +595,16 @@ class PagedFactStore:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         with self._lock:
             self._commit()
-            conn = self._conn
             before = self._count
             cold = before == 0
-            conn.execute(
-                "CREATE TEMP TABLE staging_facts (atom TEXT, pred TEXT)"
-            )
-            conn.execute(
-                "CREATE TEMP TABLE staging_args ("
-                " pred TEXT, pos INTEGER, value TEXT, atom TEXT)"
-            )
-            staged = 0
-            batches = 0
             try:
-                if cold:
-                    conn.execute("DROP INDEX IF EXISTS idx_facts_pred")
-                    conn.execute("DROP INDEX IF EXISTS idx_args_cover")
-                conn.execute("BEGIN")
-                fact_rows: list[tuple[str, str]] = []
-                arg_rows: list[tuple[str, int, str, str]] = []
-                for atom in facts:
-                    encoded = _encode(atom)
-                    fact_rows.append((encoded, atom[0]))
-                    for position in range(1, len(atom)):
-                        arg_rows.append(
-                            (atom[0], position, atom[position], encoded)
-                        )
-                    staged += 1
-                    if len(fact_rows) >= batch_size:
-                        conn.executemany(
-                            "INSERT INTO staging_facts VALUES (?, ?)",
-                            fact_rows,
-                        )
-                        conn.executemany(
-                            "INSERT INTO staging_args VALUES (?, ?, ?, ?)",
-                            arg_rows,
-                        )
-                        fact_rows.clear()
-                        arg_rows.clear()
-                        batches += 1
-                if fact_rows:
-                    conn.executemany(
-                        "INSERT INTO staging_facts VALUES (?, ?)", fact_rows
-                    )
-                    conn.executemany(
-                        "INSERT INTO staging_args VALUES (?, ?, ?, ?)",
-                        arg_rows,
-                    )
-                    batches += 1
-                # dedupe/upsert on commit: within the staged batch via
-                # DISTINCT, against prior contents via OR IGNORE on the
-                # primary key / unique covering index
-                conn.execute(
-                    "INSERT OR IGNORE INTO facts (atom, pred)"
-                    " SELECT DISTINCT atom, pred FROM staging_facts"
+                staged, batches = self._stage_and_upsert(
+                    facts, batch_size, cold
                 )
-                if cold:
-                    conn.execute(
-                        "INSERT INTO args (pred, pos, value, atom)"
-                        " SELECT DISTINCT pred, pos, value, atom"
-                        " FROM staging_args"
-                    )
-                else:
-                    conn.execute(
-                        "INSERT OR IGNORE INTO args (pred, pos, value, atom)"
-                        " SELECT DISTINCT pred, pos, value, atom"
-                        " FROM staging_args"
-                    )
-                conn.execute("COMMIT")
             except BaseException:
-                if conn.in_transaction:
-                    conn.execute("ROLLBACK")
+                self._recover_failed_load()
                 raise
-            finally:
-                if cold:
-                    conn.execute(
-                        "CREATE INDEX IF NOT EXISTS idx_facts_pred"
-                        " ON facts (pred, atom)"
-                    )
-                    conn.execute(
-                        "CREATE UNIQUE INDEX IF NOT EXISTS idx_args_cover"
-                        " ON args (pred, pos, value, atom)"
-                    )
-                conn.execute("DROP TABLE IF EXISTS staging_facts")
-                conn.execute("DROP TABLE IF EXISTS staging_args")
-            self._buffer.clear()
-            self._buffered_facts = 0
-            self._sizes.clear()
-            self._reload_counts()
+            self._end_load()
             return {
                 "staged": staged,
                 "batches": batches,
@@ -567,6 +614,99 @@ class PagedFactStore:
                 "predicates": len(self._pred_counts),
                 "reindexed": int(cold),
             }
+
+    def _stage_and_upsert(
+        self, facts: Iterable[Atom], batch_size: int, cold: bool
+    ) -> tuple[int, int]:
+        """The load itself; returns (facts staged, batches written)."""
+        conn = self._conn
+        conn.execute("CREATE TEMP TABLE staging_facts (atom TEXT, pred TEXT)")
+        conn.execute(
+            "CREATE TEMP TABLE staging_args ("
+            " pred TEXT, pos INTEGER, value TEXT, atom TEXT)"
+        )
+        if cold:
+            conn.execute("DROP INDEX IF EXISTS idx_facts_pred")
+            conn.execute("DROP INDEX IF EXISTS idx_args_cover")
+        staged = 0
+        batches = 0
+        conn.execute("BEGIN")
+        fact_rows: list[tuple[str, str]] = []
+        arg_rows: list[tuple[str, int, str, str]] = []
+        for atom in facts:
+            encoded = _encode(atom)
+            fact_rows.append((encoded, atom[0]))
+            for position in range(1, len(atom)):
+                arg_rows.append((atom[0], position, atom[position], encoded))
+            staged += 1
+            if len(fact_rows) >= batch_size:
+                conn.executemany(
+                    "INSERT INTO staging_facts VALUES (?, ?)", fact_rows
+                )
+                conn.executemany(
+                    "INSERT INTO staging_args VALUES (?, ?, ?, ?)", arg_rows
+                )
+                fact_rows.clear()
+                arg_rows.clear()
+                batches += 1
+        if fact_rows:
+            conn.executemany("INSERT INTO staging_facts VALUES (?, ?)", fact_rows)
+            conn.executemany(
+                "INSERT INTO staging_args VALUES (?, ?, ?, ?)", arg_rows
+            )
+            batches += 1
+        # dedupe/upsert on commit: within the staged batch via
+        # DISTINCT, against prior contents via OR IGNORE on the
+        # primary key / unique covering index (absent on a cold load,
+        # which has no prior contents)
+        conn.execute(
+            "INSERT OR IGNORE INTO facts (atom, pred)"
+            " SELECT DISTINCT atom, pred FROM staging_facts"
+        )
+        conn.execute(
+            "INSERT OR IGNORE INTO args (pred, pos, value, atom)"
+            " SELECT DISTINCT pred, pos, value, atom FROM staging_args"
+        )
+        conn.execute("COMMIT")
+        return staged, batches
+
+    def _end_load(self) -> None:
+        """Rebuild the indexes a cold load dropped, drop the staging
+        tables, and re-read what the load changed behind the buffer."""
+        conn = self._conn
+        self._create_indexes(conn)
+        conn.execute("DROP TABLE IF EXISTS temp.staging_facts")
+        conn.execute("DROP TABLE IF EXISTS temp.staging_args")
+        self._buffer.clear()
+        self._buffered_facts = 0
+        self._sizes.clear()
+        self._reload_counts()
+
+    def _recover_failed_load(self) -> None:
+        """Undo a load that raised, without raising over its error.
+
+        Rolls the load back and restores the schema.  A connection
+        that cannot do that is replaced by a fresh one, which recreates
+        the schema: a file database keeps what was committed before the
+        load, a ``:memory:`` one comes back empty.  If no connection
+        can be opened either, the store is left closed.
+        """
+        try:
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
+            self._end_load()
+            return
+        except sqlite3.Error:
+            pass
+        try:
+            self._conn.close()
+        except sqlite3.Error:
+            pass
+        try:
+            self._conn = self._connect()
+            self._end_load()
+        except sqlite3.Error:
+            self._closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -57,8 +57,15 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # request logging is the load generator's job, not stderr's
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # the body's end is unknown, so the connection cannot carry
+            # another request: answer, then close it
+            self.close_connection = True
+            raise ProtocolError(f"invalid Content-Length {raw!r}")
+        length = int(raw)
         if length > _MAX_BODY:
+            self.close_connection = True
             raise ProtocolError(f"request body too large ({length} bytes)")
         return protocol.decode_body(self.rfile.read(length) if length else b"")
 

@@ -39,7 +39,7 @@ from repro.core.rules import parse_rules
 from repro.errors import ProtocolError, ServingError
 from repro.formats import adjacency
 from repro.inference.engine import IMPLIES, OntologyInferenceEngine
-from repro.inference.horn import FactStore, HornEngine, is_ground
+from repro.inference.horn import FactStore, HornEngine, is_ground, query_store
 from repro.query.engine import QueryEngine
 from repro.reliability.journal import ChurnJournal
 from repro.serving.cache import QueryResultCache
@@ -51,7 +51,7 @@ from repro.serving.protocol import (
     optional,
     row_to_wire,
 )
-from repro.serving.session import Session, SessionManager, snapshot_query
+from repro.serving.session import Session, SessionManager
 from repro.workloads.churn import apply_churn
 
 __all__ = ["ArticulationService", "load_paper_workload"]
@@ -639,7 +639,7 @@ class ArticulationService:
         """A session's view of ``generalizations(term)`` (test hook)."""
         session = self.sessions.get(session_id)
         return sorted(
-            {b["?x"] for b in snapshot_query(session.store, (IMPLIES, term, "?x"))}
+            {b["?x"] for b in query_store(session.store, (IMPLIES, term, "?x"))}
         )
 
     # ------------------------------------------------------------------

@@ -16,9 +16,9 @@ O(closure) copy per churn boundary that actually has live readers.
 
 Snapshot reads never touch a :class:`HornEngine` — they probe the
 frozen store's argument-position indexes directly
-(:func:`snapshot_query`), which is what makes them safe under full
-request concurrency: a frozen store is never mutated, so reads need
-no lock at all.
+(:func:`~repro.inference.horn.query_store`), which is what makes them
+safe under full request concurrency: a frozen store is never
+mutated, so reads need no lock at all.
 """
 
 from __future__ import annotations
@@ -28,38 +28,15 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
-from repro.inference.horn import Atom, FactStore, is_variable, unify_atom
+from repro.inference.horn import Atom, FactStore, query_store
 
 __all__ = ["Session", "SessionManager", "snapshot_query", "snapshot_holds"]
 
 
-def snapshot_query(store: FactStore, pattern: Atom) -> list[dict[str, str]]:
-    """All bindings of a pattern against a frozen store.
-
-    Mirrors :meth:`HornEngine.query`'s index discipline — the most
-    selective bound position picks the probe bucket — without needing
-    an engine (the snapshot is already a fixpoint).
-    """
-    predicate = pattern[0]
-    bound = [
-        (position, arg)
-        for position, arg in enumerate(pattern)
-        if position and not is_variable(arg)
-    ]
-    if bound:
-        position, value = min(
-            bound,
-            key=lambda pv: store.probe_size(predicate, pv[0], pv[1]),
-        )
-        pool = store.probe(predicate, position, value)
-    else:
-        pool = store.pool(predicate)
-    results: list[dict[str, str]] = []
-    for fact in pool:
-        binding = unify_atom(pattern, fact)
-        if binding is not None:
-            results.append(binding)
-    return results
+#: Kept as a name of the public ``repro.serving`` API; the serving
+#: code itself calls :func:`~repro.inference.horn.query_store`, the
+#: engine's own probe choice, on the frozen store.
+snapshot_query = query_store
 
 
 def snapshot_holds(store: FactStore, atom: Atom) -> bool:
@@ -78,7 +55,7 @@ class Session:
 
     def query(self, pattern: Atom) -> list[dict[str, str]]:
         self.queries += 1
-        return snapshot_query(self.store, pattern)
+        return query_store(self.store, pattern)
 
     def holds(self, atom: Atom) -> bool:
         self.queries += 1

@@ -37,6 +37,53 @@ def _chain(n: int, pred: str = "S") -> list[tuple[str, str, str]]:
     return [(pred, f"n{i}", f"n{i + 1}") for i in range(n)]
 
 
+class _SourceBroke(Exception):
+    pass
+
+
+def _breaks_after(atoms, n):
+    for i, atom in enumerate(atoms):
+        if i == n:
+            raise _SourceBroke(f"source failed after {n} facts")
+        yield atom
+
+
+class _NoRollback:
+    """A connection whose ROLLBACK fails, as on a wedged connection."""
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self._conn = conn
+        self.rollbacks = 0
+
+    def execute(self, sql, *args):
+        if sql.strip().upper() == "ROLLBACK":
+            self.rollbacks += 1
+            raise sqlite3.OperationalError("cannot rollback")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _assert_usable(paged: PagedFactStore, *, expect_pre: bool) -> None:
+    """After a failed bulk load: nothing of it stored, the indexes in
+    place, reads and writes working."""
+    indexes = {
+        row[0]
+        for row in paged._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'"
+        )
+    }
+    assert {"idx_facts_pred", "idx_args_cover"} <= indexes
+    assert (("S", "pre", "x") in paged) is expect_pre
+    assert len(paged) == int(expect_pre)
+    assert ("S", "n3", "n4") not in paged
+    assert list(paged.probe("S", 1, "n3")) == []
+    assert paged.add(("S", "n3", "n4"))
+    assert list(paged.probe("S", 1, "n3")) == [("S", "n3", "n4")]
+    assert ("S", "n3", "n4") in paged
+
+
 class TestFactStoreContract:
     """Same observable behavior as the in-memory store, operation by
     operation — the duck-typing contract the engine relies on."""
@@ -113,6 +160,16 @@ class TestFactStoreContract:
             assert second.pool_size("S") == 8
         finally:
             second.close()
+
+    def test_stored_text_is_compact_unescaped_json(self, store) -> None:
+        """The on-disk atom format files already written rely on."""
+        atom = ("S", "café", 'a "b"', "c\\d")
+        store.add(atom)
+        store.add_many([("T", "ü", "x")])
+        assert sorted(
+            text for (text,) in store._conn.execute("SELECT atom FROM facts")
+        ) == ['["S","café","a \\"b\\"","c\\\\d"]', '["T","ü","x"]']
+        assert atom in store
 
     def test_close_removes_owned_temp_file(self) -> None:
         import os
@@ -201,6 +258,38 @@ class TestBulkLoad:
                 )
             }
             assert "idx_args_cover" in names
+        finally:
+            paged.close()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_failing_source_surfaces_and_leaves_store_usable(
+        self, tmp_path, warm
+    ) -> None:
+        paged = PagedFactStore(tmp_path / "facts.sqlite")
+        try:
+            if warm:
+                paged.add(("S", "pre", "x"))
+            with pytest.raises(_SourceBroke):
+                paged.bulk_load(_breaks_after(_chain(50), 30), batch_size=8)
+            _assert_usable(paged, expect_pre=warm)
+        finally:
+            paged.close()
+
+    def test_failing_rollback_reconnects_without_masking(self, tmp_path) -> None:
+        """A connection that cannot roll back is replaced; the load's
+        own error still reaches the caller, and what was committed
+        before the load survives."""
+        paged = PagedFactStore(tmp_path / "facts.sqlite")
+        try:
+            paged.add(("S", "pre", "x"))
+            paged.flush()
+            broken = _NoRollback(paged._conn)
+            paged._conn = broken
+            with pytest.raises(_SourceBroke):
+                paged.bulk_load(_breaks_after(_chain(50), 30), batch_size=8)
+            assert broken.rollbacks == 1
+            assert paged._conn is not broken
+            _assert_usable(paged, expect_pre=True)
         finally:
             paged.close()
 

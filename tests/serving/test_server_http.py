@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -121,6 +122,25 @@ class TestErrorMapping:
         status, body = call_json(conn, "POST", "/infer", {"term": "x"})
         assert status == 400
         assert "missing required field" in body["message"]
+
+    @pytest.mark.parametrize("length", ["-5", "abc", "1_0"])
+    def test_bad_content_length_is_400_and_closes(self, server, length) -> None:
+        """The body is never read: a negative length used to read to
+        EOF, pinning the connection's thread while the client waits."""
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /infer HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            received = b""
+            while True:  # the server closes; a hang trips the timeout
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert "Content-Length" in json.loads(body)["message"]
 
 
 class TestSessionsOverHttp:
